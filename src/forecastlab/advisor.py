@@ -10,11 +10,12 @@ decision is tagged "llm_fallback".
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import jsonschema
 import requests
@@ -28,7 +29,7 @@ from .ensemble import (
     performance_weights,
 )
 from .models import MODEL_IDS, allowed_hyperparameter_keys, hyperparameter_space
-from .preprocess import DetectionPolicy, RepairPolicy, compute_stats, diagnose
+from .preprocess import DetectionPolicy, QualityDiagnostics, RepairPolicy, compute_stats, diagnose
 from .profiling import TemporalProfile
 from .series import Series
 
@@ -126,14 +127,19 @@ class AdvisorDecision:
         return {"kind": self.kind, "payload": self.payload, "source": self.source}
 
 
-_SCHEMA_CACHE: dict[str, dict] = {}
-
-
+@functools.cache
 def load_schema(name: str) -> dict:
-    if name not in _SCHEMA_CACHE:
-        path = resources.files("forecastlab") / "schemas" / f"{name}.json"
-        _SCHEMA_CACHE[name] = json.loads(path.read_text(encoding="utf-8"))
-    return _SCHEMA_CACHE[name]
+    path = resources.files("forecastlab") / "schemas" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@functools.cache
+def schema_validator(name: str) -> jsonschema.protocols.Validator:
+    """A validator for a shipped schema, built and schema-checked once."""
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def strip_code_fences(text: str) -> str:
@@ -219,8 +225,26 @@ def check_missing_gate(series: Series) -> float:
     return pct
 
 
-def preprocess_payload_from_rules(series: Series) -> dict:
-    """Quality assessment and strategy recommendation from fixed rules.
+PreprocessResult = tuple[QualityDiagnostics, Series, list[str]]
+
+
+def apply_strategies(series: Series, strategies: Mapping[str, str]) -> PreprocessResult:
+    """Turn adopted wire strategies into cleaned data: the only place a
+    preprocess decision is applied.
+
+    The heavy-tail test on the raw window picks the robust zscore center;
+    returns (diagnostics, cleaned series, substitution notes).
+    """
+    stats = compute_stats(series)
+    heavy = is_heavy_tailed(stats.skewness, stats.excess_kurtosis)
+    detection, repair, notes = policies_from_strategies(strategies, heavy_tailed=heavy)
+    diagnostics, cleaned = diagnose(series, detection, repair)
+    return diagnostics, cleaned, notes
+
+
+def rules_preprocess(series: Series) -> tuple[dict, PreprocessResult]:
+    """Quality assessment and strategy recommendation from fixed rules,
+    returned with the result of applying those strategies.
 
     Light missingness is interpolated, moderate missingness uses local
     medians; heavy-tailed data switches to the robust zscore detector with
@@ -237,8 +261,8 @@ def preprocess_payload_from_rules(series: Series) -> dict:
         "outlier_detect_strategy": "zscore" if heavy else "iqr",
         "outlier_handle_strategy": "median" if heavy else "interpolate",
     }
-    detection, repair, _ = policies_from_strategies(strategies, heavy_tailed=heavy)
-    diagnostics, _ = diagnose(series, detection, repair)
+    applied = apply_strategies(series, strategies)
+    diagnostics = applied[0]
     outlier_count = len(diagnostics.outlier_indices)
     issues: list[str] = []
     if missing_count:
@@ -247,7 +271,7 @@ def preprocess_payload_from_rules(series: Series) -> dict:
         issues.append("outliers")
     if heavy:
         issues.append("heavy_tails")
-    return {
+    payload = {
         "basic_stats": {
             "mean": stats.mean,
             "std": stats.std,
@@ -269,6 +293,7 @@ def preprocess_payload_from_rules(series: Series) -> dict:
         },
         "recommended_strategies": strategies,
     }
+    return payload, applied
 
 
 def rank_candidate_models(profile: TemporalProfile) -> list[tuple[str, str]]:
@@ -438,6 +463,19 @@ def decision_from_wire(
     )
 
 
+class PreprocessAdvice(NamedTuple):
+    """(applied result, decision), like advise_ensemble's pair; ``source``
+    reads as on every other advise_* result (benchmarks/spans.py counts
+    fallbacks from it)."""
+
+    applied: PreprocessResult
+    decision: AdvisorDecision
+
+    @property
+    def source(self) -> str:
+        return self.decision.source
+
+
 class Advisor:
     """Resolves pipeline decisions via rules or a JSON-contract LLM."""
 
@@ -458,7 +496,7 @@ class Advisor:
     def _request_payload(
         self, system: str, user: str, schema_name: str
     ) -> tuple[dict | None, str | None]:
-        schema = load_schema(schema_name)
+        validator = schema_validator(schema_name)
         last_raw: str | None = None
         for _ in range(self.max_attempts):
             try:
@@ -468,24 +506,29 @@ class Advisor:
             last_raw = raw
             try:
                 payload = json.loads(strip_code_fences(raw))
-                jsonschema.validate(payload, schema)
+                validator.validate(payload)
             except (ValueError, jsonschema.ValidationError):
                 continue
             if isinstance(payload, dict):
                 return payload, raw
         return None, last_raw
 
-    def advise_preprocess(self, series: Series) -> AdvisorDecision:
+    def advise_preprocess(self, series: Series) -> PreprocessAdvice:
+        """Decide the preprocess strategies and apply them, so the window is
+        diagnosed exactly once whichever source the decision comes from."""
         check_missing_gate(series)
-        rules_payload = preprocess_payload_from_rules(series)
         if self.mode == "rules":
-            return AdvisorDecision("preprocess", rules_payload, "rules")
+            rules_payload, applied = rules_preprocess(series)
+            return PreprocessAdvice(applied, AdvisorDecision("preprocess", rules_payload, "rules"))
         sample = {"value": [None if v is None else float(v) for v in series.values]}
         system, user = prompts.render_preprocess_messages(sample)
         payload, raw = self._request_payload(system, user, "preprocess_decision")
         if payload is None:
-            return AdvisorDecision("preprocess", rules_payload, "llm_fallback", raw)
-        return AdvisorDecision("preprocess", payload, "llm", raw)
+            rules_payload, applied = rules_preprocess(series)
+            decision = AdvisorDecision("preprocess", rules_payload, "llm_fallback", raw)
+            return PreprocessAdvice(applied, decision)
+        applied = apply_strategies(series, payload["recommended_strategies"])
+        return PreprocessAdvice(applied, AdvisorDecision("preprocess", payload, "llm", raw))
 
     def advise_selection(
         self, profile: TemporalProfile, n_candidates: int = DEFAULT_CANDIDATE_COUNT

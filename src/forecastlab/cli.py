@@ -3,22 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
 
-from .advisor import (
-    Advisor,
-    DEFAULT_CREDENTIAL_ENV,
-    InsufficientQualityError,
-    LLMConfig,
-    is_heavy_tailed,
-    policies_from_strategies,
-)
+from .advisor import Advisor, DEFAULT_CREDENTIAL_ENV, InsufficientQualityError, LLMConfig
 from .datasets import read_csv
 from .ensemble import EnsembleConfig
-from .pipeline import PipelineConfig, run_pipeline
-from .preprocess import compute_stats, diagnose
+from .pipeline import BUNDLE_NAME, PipelineConfig, SliceResult, aggregate_results, run_pipeline
 from .profiling import build_profile
 from .reporter import context_from_events, read_ndjson, render_report
 from .svgplot import overview_figure
@@ -124,16 +117,10 @@ def cmd_diagnose(args: argparse.Namespace, parser: argparse.ArgumentParser) -> i
     series = read_csv(args.input, column)
     advisor = Advisor(mode=mode, llm=llm)
     try:
-        decision = advisor.advise_preprocess(series)
+        (diagnostics, cleaned, notes), decision = advisor.advise_preprocess(series)
     except InsufficientQualityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    stats = compute_stats(series)
-    heavy = is_heavy_tailed(stats.skewness, stats.excess_kurtosis)
-    detection, repair, notes = policies_from_strategies(
-        decision.payload["recommended_strategies"], heavy_tailed=heavy
-    )
-    diagnostics, cleaned = diagnose(series, detection, repair)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     diag_payload = diagnostics.to_dict()
@@ -202,41 +189,32 @@ def cmd_report(args: argparse.Namespace, _parser: argparse.ArgumentParser) -> in
 
 
 def cmd_bench(args: argparse.Namespace, _parser: argparse.ArgumentParser) -> int:
-    import csv as _csv
-
+    """Re-aggregate the ensemble rows of the bundles in --out. A forecast
+    run clears earlier bundles first, so these are the last run's."""
     out_dir = Path(args.out)
-    per_horizon: dict[int, list[tuple[float, float]]] = {}
-    for metrics_path in sorted(out_dir.glob("slice*_h*/metrics.csv")):
-        horizon = int(metrics_path.parent.name.rsplit("_h", 1)[1])
+    results: list[SliceResult] = []
+    for metrics_path in sorted(out_dir.glob("*/metrics.csv")):
+        name = BUNDLE_NAME.fullmatch(metrics_path.parent.name)
+        if name is None:
+            continue
         with open(metrics_path, encoding="utf-8", newline="") as fh:
-            for row in _csv.DictReader(fh):
-                if row["model_id"] == "ensemble" and row["test_mae"] and row["test_mape"]:
-                    per_horizon.setdefault(horizon, []).append(
-                        (float(row["test_mae"]), float(row["test_mape"]))
-                    )
-    if not per_horizon:
+            row = next((r for r in csv.DictReader(fh) if r["model_id"] == "ensemble"), None)
+        if row is None:
+            continue
+        results.append(
+            SliceResult(
+                slice_index=int(name[1]),
+                horizon=int(name[2]),
+                start=0,  # not in metrics.csv; aggregation does not read it
+                status="ok",
+                test_mae=float(row["test_mae"]) if row["test_mae"] else None,
+                test_mape=float(row["test_mape"]) if row["test_mape"] else None,
+            )
+        )
+    if not results:
         print(f"error: no slice metrics found under {out_dir}", file=sys.stderr)
         return 1
-    rows = []
-    for horizon in sorted(per_horizon):
-        pairs = per_horizon[horizon]
-        rows.append(
-            {
-                "horizon": horizon,
-                "mae": sum(p[0] for p in pairs) / len(pairs),
-                "mape": sum(p[1] for p in pairs) / len(pairs),
-                "n_slices": len(pairs),
-            }
-        )
-    rows.append(
-        {
-            "horizon": "Avg",
-            "mae": sum(r["mae"] for r in rows) / len(rows),
-            "mape": sum(r["mape"] for r in rows) / len(rows),
-            "n_slices": sum(r["n_slices"] for r in rows),
-        }
-    )
-    _print_aggregate(rows)
+    _print_aggregate(aggregate_results(results))
     return 0
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
+import shutil
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -20,11 +22,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .advisor import Advisor, InsufficientQualityError, LLMConfig, policies_from_strategies, is_heavy_tailed
+from .advisor import Advisor, InsufficientQualityError, LLMConfig
 from .ensemble import EnsembleConfig, EnsembleDecision, combine, disagreement_index
 from .models import ModelFailureError, ModelSpec, fit_forecast
-from .planner import BacktestRecord, CandidatePool, backtest_pool, build_pool, rank_top_models
-from .preprocess import DetectionPolicy, RepairPolicy, compute_stats, diagnose
+from .planner import BacktestRecord, backtest_pool, build_pool, rank_top_models
+from .preprocess import DetectionPolicy, RepairPolicy, diagnose
 from .profiling import (
     DEFAULT_MAX_LAG,
     FALLBACK_SMOOTHING_PERIOD,
@@ -45,12 +47,14 @@ from .reporter import (
     write_metrics_csv,
     write_ndjson,
 )
-from .series import Series, ZScoreScaler, mae, mape
+from .series import Series, ZScoreScaler, default_split_spec, mae, mape
 from .svgplot import correlogram_figure, decomposition_figure, forecast_figure, overview_figure
 
 MIN_INPUT_LENGTH = 64
 SLICE_SEED_STRIDE = 7919
 LOG_EPOCH = datetime(2000, 1, 1, tzinfo=timezone.utc)
+# Slice bundle directory names, f"slice{index:03d}_h{horizon:03d}".
+BUNDLE_NAME = re.compile(r"slice(\d{3,})_h(\d{3,})")
 
 
 class PipelineError(RuntimeError):
@@ -154,15 +158,17 @@ def make_slices(
 
 @dataclass
 class _Plan:
+    """Replay rebuilds only the first four fields, which forecast_from_plan
+    reads; the rest describe the validation fit for the bundle."""
+
     cleaned: Series
     scaler: ZScoreScaler
     top: tuple[BacktestRecord, ...]
     decision: EnsembleDecision
-    residual_std: float
-    ensemble_val_mae: float
-    ensemble_val_mape: float | None
-    pool: CandidatePool
-    profile_period: int | None
+    residual_std: float | None = None
+    ensemble_val_mae: float | None = None
+    ensemble_val_mape: float | None = None
+    profile_period: int | None = None
 
 
 def _masked_metrics(actual: Sequence[float | None], predicted: np.ndarray) -> tuple[float, float | None]:
@@ -192,17 +198,11 @@ def plan_slice(
 
     Only the input window is available here, so no step of candidate
     selection, backtesting, or integration can observe the test horizon.
+    The window is cleaned once, by the advisor's apply_strategies with the
+    adopted strategies, and split by series.default_split_spec.
     """
-    pre = advisor.advise_preprocess(input_window)
-    stats = compute_stats(input_window)
-    heavy = is_heavy_tailed(stats.skewness, stats.excess_kurtosis)
-    detection, repair, notes = policies_from_strategies(
-        pre.payload["recommended_strategies"], heavy_tailed=heavy
-    )
-    diagnostics, cleaned = diagnose(input_window, detection, repair)
-    diag_payload = diagnostics.to_dict()
-    diag_payload["wire"] = pre.payload
-    diag_payload["notes"] = notes
+    (diagnostics, cleaned, notes), pre = advisor.advise_preprocess(input_window)
+    diag_payload = {**diagnostics.to_dict(), "wire": pre.payload, "notes": notes}
     if pre.source == "llm_fallback" and pre.raw_response is not None:
         diag_payload["raw_response"] = pre.raw_response
     log.record("diagnose", diag_payload, pre.source)
@@ -227,10 +227,8 @@ def plan_slice(
         select_payload["raw_response"] = selection.raw_response
     log.record("select", select_payload, selection.source)
 
-    val_len = min(horizon, len(cleaned) // 4)
-    train_len = len(cleaned) - val_len
-    if val_len < 1 or train_len < 2:
-        raise PipelineError("input window is too short to carve a validation span")
+    spec = default_split_spec(len(cleaned), horizon)
+    train_len, val_len = spec.train_len, spec.val_len
     train = cleaned.window(0, train_len)
     val = cleaned.window(train_len, len(cleaned))
     scaler = ZScoreScaler.fit(train.dense())
@@ -289,11 +287,7 @@ def plan_slice(
 
     ensemble_val = combine(decision, val_forecasts)
     residual_std = float(np.std(np.asarray(val_actual, dtype=float) - ensemble_val))
-    ens_val_mae = mae(val_actual, ensemble_val)
-    try:
-        ens_val_mape: float | None = mape(val_actual, ensemble_val)
-    except ValueError:
-        ens_val_mape = None
+    ens_val_mae, ens_val_mape = _masked_metrics(val_actual, ensemble_val)
     period = profile.seasonality.period if profile.seasonality.detected else None
     return _Plan(
         cleaned=cleaned,
@@ -303,7 +297,6 @@ def plan_slice(
         residual_std=residual_std,
         ensemble_val_mae=ens_val_mae,
         ensemble_val_mape=ens_val_mape,
-        pool=pool,
         profile_period=period,
     )
 
@@ -312,6 +305,7 @@ def forecast_from_plan(plan: _Plan, horizon: int) -> tuple[dict[str, np.ndarray]
     """Refit the chosen configurations on the full input window and combine.
 
     Members are fit and pooled in scaled space; outputs are original-space.
+    run_slice and replay_slice both forecast through here.
     """
     scaled_input = plan.cleaned.with_values(
         float(v) for v in plan.scaler.transform(plan.cleaned.dense())
@@ -554,6 +548,11 @@ def run_pipeline(
     out_path = Path(out_dir) if out_dir is not None else None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
+        # Bundles of an earlier run into the same directory must not mix
+        # with this run's; nothing else in the directory is touched.
+        for old in out_path.iterdir():
+            if old.is_dir() and BUNDLE_NAME.fullmatch(old.name):
+                shutil.rmtree(old)
 
     warnings: list[str] = []
     results: list[SliceResult] = []
@@ -606,9 +605,10 @@ def run_pipeline(
 def replay_slice(input_window: Series, events: Sequence[dict]) -> np.ndarray:
     """Re-execute a slice's logged decisions and return the point forecast.
 
-    Every choice (policies, candidate ranking inputs, ensemble decision) is
-    taken from the log, so the result must match the logged forecast
-    bit-for-bit on the same input window.
+    Every choice (policies, train length, backtest records, ensemble
+    decision) is taken from the log into a plan, which forecast_from_plan
+    refits and combines exactly as the run did, so the result matches the
+    logged forecast bit-for-bit on the same input window.
     """
     ctx = context_from_events(events)
     run = ctx["run"]
@@ -617,15 +617,10 @@ def replay_slice(input_window: Series, events: Sequence[dict]) -> np.ndarray:
     repair = RepairPolicy(**quality["repair"])
     _, cleaned = diagnose(input_window, detection, repair)
 
-    backtest = None
-    for event in events:
-        if event["stage"] == "backtest":
-            backtest = event["decision"]
+    backtest = next((e["decision"] for e in events if e["stage"] == "backtest"), None)
     if backtest is None:
         raise ValueError("workflow log is missing the backtest stage")
-    train_len = backtest["train_len"]
-    train = cleaned.window(0, train_len)
-    scaler = ZScoreScaler.fit(train.dense())
+    scaler = ZScoreScaler.fit(cleaned.window(0, backtest["train_len"]).dense())
 
     records = [
         BacktestRecord(
@@ -636,8 +631,6 @@ def replay_slice(input_window: Series, events: Sequence[dict]) -> np.ndarray:
         )
         for entry in ctx["records"]
     ]
-    top = rank_top_models(records, run["top_k"])
-
     ens = ctx["ensemble"]
     members = tuple(ens["members"])
     weights = ens.get("weights")
@@ -652,10 +645,5 @@ def replay_slice(input_window: Series, events: Sequence[dict]) -> np.ndarray:
         disagreement=ens["disagreement"],
         trim_fraction=ens["trim_fraction"],
     )
-
-    scaled_input = cleaned.with_values(float(v) for v in scaler.transform(cleaned.dense()))
-    members_scaled: dict[str, np.ndarray] = {}
-    for record in top:
-        forecast = fit_forecast(record.spec, scaled_input, run["horizon"])
-        members_scaled[record.spec.model_id] = forecast.array()
-    return np.asarray(combine(decision, members_scaled, scaler), dtype=float)
+    plan = _Plan(cleaned, scaler, rank_top_models(records, run["top_k"]), decision)
+    return forecast_from_plan(plan, run["horizon"])[1]

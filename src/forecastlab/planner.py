@@ -52,12 +52,6 @@ class CandidatePool:
     def model_ids(self) -> tuple[str, ...]:
         return tuple(c.model_id for c in self.candidates)
 
-    def to_dict(self) -> dict:
-        return {
-            "selected_models": [c.to_dict() for c in self.candidates],
-            "source": self.source,
-        }
-
 
 @dataclass(frozen=True)
 class BacktestRecord:

@@ -258,34 +258,31 @@ def detect_outliers_percentile(
     series: Series,
     lower_pct: float = 1.0,
     upper_pct: float = 99.0,
-    frozen_on: Series | None = None,
 ) -> IndexSet:
     """Global percentile rule.
 
-    Bounds are the (lower_pct, upper_pct) quantiles of ``frozen_on`` when
-    given (typically the training segment) and of the full series
-    otherwise; values strictly outside are flagged at every index.
+    Bounds are the (lower_pct, upper_pct) quantiles of the series' observed
+    values; values strictly outside are flagged at every index.
     """
     if not (0.0 <= lower_pct < upper_pct <= 100.0):
         raise ValueError("percentile bounds must satisfy 0 <= lower < upper <= 100")
-    reference = frozen_on if frozen_on is not None else series
-    ref = reference.observed_values()
+    ref = series.observed_values()
     if ref.size == 0:
-        raise ValueError("reference segment has no observed values")
+        raise ValueError("series has no observed values")
     lo, hi = np.quantile(ref, [lower_pct / 100.0, upper_pct / 100.0])
     return tuple(
         i for i, v in enumerate(series.values) if v is not None and (v < lo or v > hi)
     )
 
 
-def detect_outliers(series: Series, policy: DetectionPolicy, frozen_on: Series | None = None) -> IndexSet:
+def detect_outliers(series: Series, policy: DetectionPolicy) -> IndexSet:
     """Dispatch on the policy method; 'none' flags nothing."""
     if policy.method == "rolling_iqr":
         return detect_outliers_iqr(series, policy.window, policy.alpha)
     if policy.method == "rolling_zscore":
         return detect_outliers_zscore(series, policy.window, policy.alpha, policy.robust_center)
     if policy.method == "percentile":
-        return detect_outliers_percentile(series, policy.lower_pct, policy.upper_pct, frozen_on)
+        return detect_outliers_percentile(series, policy.lower_pct, policy.upper_pct)
     return ()
 
 
@@ -431,10 +428,7 @@ def fill_missing(series: Series, policy: RepairPolicy) -> Series:
 
 
 def diagnose(
-    series: Series,
-    detection: DetectionPolicy,
-    repair: RepairPolicy,
-    frozen_on: Series | None = None,
+    series: Series, detection: DetectionPolicy, repair: RepairPolicy
 ) -> tuple[QualityDiagnostics, Series]:
     """Run the full quality pass and return (diagnostics, cleaned series).
 
@@ -447,7 +441,7 @@ def diagnose(
     stats = compute_stats(series)
     missing = series.missing_indices()
     filled = fill_missing(series, repair)
-    flags = tuple(i for i in detect_outliers(filled, detection, frozen_on) if i not in set(missing))
+    flags = tuple(i for i in detect_outliers(filled, detection) if i not in set(missing))
     cleaned = repair_outliers(filled, flags, repair)
     n = len(series)
     score = max(0.0, min(1.0, 1.0 - len(missing) / n - len(flags) / n))

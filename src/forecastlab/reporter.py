@@ -293,7 +293,8 @@ def render_report(ctx: Mapping) -> str:
         lines.append(f"Selected model: `{ensemble['selected_model']}`.")
     weights = ensemble.get("weights")
     if weights:
-        pairs = ", ".join(f"`{m}`: {_g(w)}" for m, w in weights.items())
+        # Member order: the log's sort_keys round trip reorders the dict.
+        pairs = ", ".join(f"`{m}`: {_g(weights[m])}" for m in members)
         lines.append(f"Member weights: {pairs}.")
     arr = np.asarray(point, dtype=float)
     lines.append(

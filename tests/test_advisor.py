@@ -17,8 +17,9 @@ from forecastlab.advisor import (
     load_schema,
     normalize_selection_payload,
     policies_from_strategies,
-    preprocess_payload_from_rules,
     rank_candidate_models,
+    rules_preprocess,
+    schema_validator,
     selection_payload_from_rules,
     strip_code_fences,
 )
@@ -72,7 +73,7 @@ def test_missing_gate_passes_at_20pct():
 
 def test_rules_light_missing_interpolate_iqr():
     s = _series_with_missing(200, 0.01)
-    payload = preprocess_payload_from_rules(s)
+    payload, _ = rules_preprocess(s)
     assert payload["recommended_strategies"] == {
         "missing_value_strategy": "interpolate",
         "outlier_detect_strategy": "iqr",
@@ -84,7 +85,7 @@ def test_rules_light_missing_interpolate_iqr():
 
 def test_rules_moderate_missing_median_fill():
     s = _series_with_missing(200, 0.10)
-    payload = preprocess_payload_from_rules(s)
+    payload, _ = rules_preprocess(s)
     assert payload["recommended_strategies"]["missing_value_strategy"] == "median"
     jsonschema.validate(payload, load_schema("preprocess_decision"))
 
@@ -95,7 +96,7 @@ def test_rules_heavy_tails_pick_robust_zscore():
     for i in range(0, 300, 25):
         vals[i] = 10 + float(rng.pareto(1.2)) * 15.0  # fat upper tail
     s = Series(tuple(vals))
-    payload = preprocess_payload_from_rules(s)
+    payload, _ = rules_preprocess(s)
     assert payload["recommended_strategies"]["outlier_detect_strategy"] == "zscore"
     assert payload["recommended_strategies"]["outlier_handle_strategy"] == "median"
     assert "heavy_tails" in payload["quality_assessment"]["main_issues"]
@@ -110,7 +111,7 @@ def test_rules_heavy_tails_pick_robust_zscore():
 
 def test_rules_payload_schema_and_score_range():
     s = _series_with_missing(150, 0.05)
-    payload = preprocess_payload_from_rules(s)
+    payload, _ = rules_preprocess(s)
     jsonschema.validate(payload, load_schema("preprocess_decision"))
     assert 0.0 <= payload["quality_assessment"]["data_quality_score"] <= 1.0
     assert 0.0 <= payload["outlier_info"]["outlier_percentage"] <= 1.0
@@ -382,6 +383,17 @@ def test_llm_first_bad_then_good_succeeds(chat_server):
     assert len(chat_server.requests) == 2
 
 
+@pytest.mark.parametrize(
+    "name", ["preprocess_decision", "model_selection", "ensemble_decision"]
+)
+def test_shipped_schemas_are_valid_and_validator_rejects(name):
+    schema = load_schema(name)
+    jsonschema.validators.validator_for(schema).check_schema(schema)
+    assert schema_validator(name) is schema_validator(name)
+    with pytest.raises(jsonschema.ValidationError):
+        schema_validator(name).validate({})
+
+
 def test_llm_request_shape_and_temperature(chat_server):
     chat_server.responses.append(json.dumps(_wire()))
     advisor = _llm_advisor(chat_server)
@@ -408,9 +420,9 @@ def test_llm_preprocess_fallback_keeps_rules_payload(chat_server):
     chat_server.responses.extend(["nope", "nope"])
     s = _series_with_missing(200, 0.01)
     advisor = _llm_advisor(chat_server, attempts=2)
-    decision = advisor.advise_preprocess(s)
+    _, decision = advisor.advise_preprocess(s)
     assert decision.source == "llm_fallback"
-    assert decision.payload == preprocess_payload_from_rules(s)
+    assert decision.payload == rules_preprocess(s)[0]
     assert decision.raw_response == "nope"
 
 

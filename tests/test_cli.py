@@ -124,3 +124,21 @@ def test_bench_matches_run_aggregate(run_dir, capsys):
 def test_bench_empty_dir_errors(tmp_path, capsys):
     assert main(["bench", "--out", str(tmp_path)]) == 1
     assert "no slice metrics" in capsys.readouterr().err
+
+
+def test_rerun_with_fewer_slices_leaves_only_its_bundles(tmp_path, csv_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(FAST_CFG), encoding="utf-8")
+    out = tmp_path / "out"
+    flags = ["forecast", "--input", str(csv_path), "--out", str(out), "--config", str(cfg)]
+    assert main([*flags, "--slices", "6"]) == 0
+    # directories that are not slice bundles are left alone
+    (out / "notes").mkdir()
+    (out / "slice_extra").mkdir()
+    assert main([*flags, "--slices", "3"]) == 0
+    dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+    assert dirs == ["notes", "slice000_h024", "slice001_h024", "slice002_h024", "slice_extra"]
+    capsys.readouterr()
+    assert main(["bench", "--out", str(out)]) == 0
+    rows = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert rows == {"24": "3", "Avg": "3"}

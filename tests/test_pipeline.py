@@ -1,13 +1,16 @@
 """Slice layout, determinism, replay, failure isolation, aggregation."""
 
+import dataclasses
 import filecmp
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from forecastlab.advisor import LLMConfig
+from forecastlab import preprocess
+from forecastlab.advisor import LLMConfig, rules_preprocess
 from forecastlab.datasets import make_synthetic_seasonal
 from forecastlab.pipeline import (
     PipelineConfig,
@@ -310,3 +313,47 @@ def test_pipeline_llm_decision_is_adopted(tmp_path, chat_server, seasonal_series
     window = seasonal_series.window(run["start"], run["start"] + run["input_length"])
     logged = next(e for e in events if e["stage"] == "forecast")["decision"]["point"]
     assert np.array_equal(replay_slice(window, events), np.asarray(logged))
+
+
+# ---------------------------------------------------------------------------
+# one diagnose per slice
+# ---------------------------------------------------------------------------
+
+
+def _count_diagnose(monkeypatch) -> list:
+    """Count preprocess.diagnose calls, rebinding it in every module that
+    imported it by name."""
+    calls = []
+    original = preprocess.diagnose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("forecastlab") and getattr(module, "diagnose", None) is original:
+            monkeypatch.setattr(module, "diagnose", counting)
+    return calls
+
+
+def test_diagnose_runs_once_per_slice(tmp_path, chat_server, seasonal_series, monkeypatch):
+    # first llm slice adopts a valid preprocess reply; every later reply is
+    # malformed, so the second llm slice falls back to the rules
+    chat_server.responses.append(
+        json.dumps(rules_preprocess(seasonal_series.window(0, 128))[0])
+    )
+    chat_server.responses.extend(["not-json"] * 12)
+    llm_config = dataclasses.replace(
+        SMALL,
+        advisor_mode="llm",
+        llm=LLMConfig(endpoint=chat_server.endpoint, max_attempts=2, timeout=5.0),
+    )
+    calls = _count_diagnose(monkeypatch)
+    for config, expected in ((SMALL, ["rules", "rules"]), (llm_config, ["llm", "llm_fallback"])):
+        calls.clear()
+        result = run_pipeline(seasonal_series, config, out_dir=tmp_path / config.advisor_mode)
+        assert [r.status for r in result.results] == ["ok", "ok"]
+        assert len(calls) == 2
+        for r, source in zip(result.results, expected):
+            events = read_ndjson(Path(r.bundle_dir) / "log.ndjson")
+            assert next(e for e in events if e["stage"] == "diagnose")["source"] == source

@@ -85,8 +85,8 @@ def oracle_zscore(values, window, alpha, robust):
     return tuple(flags)
 
 
-def oracle_percentile(values, lower_pct, upper_pct, frozen=None):
-    ref = [v for v in (frozen if frozen is not None else values) if v is not None]
+def oracle_percentile(values, lower_pct, upper_pct):
+    ref = [v for v in values if v is not None]
     lo = oracle_quantile(ref, lower_pct / 100.0)
     hi = oracle_quantile(ref, upper_pct / 100.0)
     return tuple(i for i, v in enumerate(values) if v is not None and (v < lo or v > hi))
@@ -145,17 +145,11 @@ def test_zscore_robust_uses_median_and_mad():
     assert 5 in robust
 
 
-def test_percentile_strict_and_frozen():
+def test_percentile_strict():
     vals = tuple(float(i) for i in range(100))
     flags = detect_outliers_percentile(Series(vals), lower_pct=10.0, upper_pct=90.0)
     # type-7 bounds on 0..99 are 9.9 and 89.1; strictly outside
     assert flags == tuple(range(0, 10)) + tuple(range(90, 100))
-    frozen = Series(tuple(float(i) for i in range(50)))
-    flags2 = detect_outliers_percentile(
-        Series(vals), lower_pct=0.0, upper_pct=100.0, frozen_on=frozen
-    )
-    # values beyond the frozen max of 49 are outliers even at the 100th pct
-    assert flags2 == tuple(range(50, 100))
 
 
 def test_detect_dispatch_and_none():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from forecastlab.ensemble import EnsembleDecision
 from forecastlab.models import ModelSpec
 from forecastlab.planner import BacktestRecord
 from forecastlab.reporter import (
@@ -285,6 +286,26 @@ def test_report_roundtrips_from_disk(tmp_path):
     direct = render_report(context_from_events(log.events))
     replayed = render_report(context_from_events(read_ndjson(path)))
     assert replayed == direct
+
+
+
+def test_report_weights_keep_member_order_after_roundtrip(tmp_path):
+    # members not in alphabetical order: sort_keys in write_ndjson reorders
+    # the weights dict, the members list keeps the run's order
+    decision = EnsembleDecision(
+        strategy="weighted_average", member_ids=("theta", "arima"), weights=(0.7, 0.3),
+        selected_model=None, rationale="close scores", confidence="medium",
+        gap=0.02, disagreement=0.1,
+    )
+    log = _full_log()
+    ensemble_event = next(e for e in log.events if e["stage"] == "ensemble")
+    ensemble_event["decision"] = {**decision.to_wire(), "members": list(decision.member_ids),
+                                  "gap": decision.gap, "disagreement": decision.disagreement}
+    path = tmp_path / "log.ndjson"
+    write_ndjson(log.events, path)
+    in_run = render_report(context_from_events(log.events))
+    assert "Member weights: `theta`: 0.7, `arima`: 0.3." in in_run
+    assert render_report(context_from_events(read_ndjson(path))) == in_run
 
 
 # ---------------------------------------------------------------------------
