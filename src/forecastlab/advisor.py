@@ -15,10 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Mapping, NamedTuple, Sequence
-
-import jsonschema
-import requests
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from . import prompts
 from .ensemble import (
@@ -32,6 +29,9 @@ from .models import MODEL_IDS, allowed_hyperparameter_keys, hyperparameter_space
 from .preprocess import DetectionPolicy, QualityDiagnostics, RepairPolicy, compute_stats, diagnose
 from .profiling import TemporalProfile
 from .series import Series
+
+if TYPE_CHECKING:
+    import jsonschema
 
 # Quality gates and rule thresholds.
 MISSING_ERROR_THRESHOLD_PCT = 20.0
@@ -136,6 +136,8 @@ def load_schema(name: str) -> dict:
 @functools.cache
 def schema_validator(name: str) -> jsonschema.protocols.Validator:
     """A validator for a shipped schema, built and schema-checked once."""
+    import jsonschema  # only the llm advisor validates, so rules runs skip the import
+
     schema = load_schema(name)
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -172,6 +174,8 @@ class LLMClient:
                 {"role": "user", "content": user},
             ],
         }
+        import requests  # only the llm advisor makes requests
+
         response = requests.post(
             self.config.endpoint, json=payload, headers=headers, timeout=self.config.timeout
         )
@@ -496,6 +500,9 @@ class Advisor:
     def _request_payload(
         self, system: str, user: str, schema_name: str
     ) -> tuple[dict | None, str | None]:
+        import jsonschema
+        import requests
+
         validator = schema_validator(schema_name)
         last_raw: str | None = None
         for _ in range(self.max_attempts):

@@ -43,33 +43,39 @@ def _smoothing_pass(
     seasonal: bool,
     period: int,
 ) -> tuple[float, float, float, np.ndarray]:
-    """One full recursion; returns (sse, level, slope, seasonal state)."""
+    """One full recursion; returns (sse, level, slope, seasonal state).
+
+    The loop runs over Python floats for speed. Keep its operations and
+    their order: forecasts are pinned bit for bit by the tests.
+    """
     n = x.size
+    xs = x.tolist()
     if seasonal:
         m = period
         level = float(np.mean(x[:m]))
         slope = (float(np.mean(x[m:2 * m])) - level) / m if trend else 0.0
-        season = x[:m].astype(float) - level
+        season = [v - level for v in xs[:m]]
         start = m
     else:
         m = 0
-        level = float(x[0])
-        slope = float(x[1] - x[0]) if trend else 0.0
-        season = np.zeros(0)
+        level = xs[0]
+        slope = xs[1] - xs[0] if trend else 0.0
+        season = []
         start = 1
     sse = 0.0
     for t in range(start, n):
+        xt = xs[t]
         s_idx = t % m if seasonal else 0
         s_val = season[s_idx] if seasonal else 0.0
         pred = level + slope + s_val
-        err = float(x[t]) - pred
+        err = xt - pred
         sse += err * err
-        new_level = alpha * (float(x[t]) - s_val) + (1.0 - alpha) * (level + slope)
+        new_level = alpha * (xt - s_val) + (1.0 - alpha) * (level + slope)
         new_slope = beta * (new_level - level) + (1.0 - beta) * slope if trend else slope
         if seasonal:
-            season[s_idx] = gamma * (float(x[t]) - level - slope) + (1.0 - gamma) * s_val
+            season[s_idx] = gamma * (xt - level - slope) + (1.0 - gamma) * s_val
         level, slope = new_level, new_slope
-    return sse, level, slope, season
+    return sse, level, slope, np.array(season)
 
 
 def _fit_free_params(
@@ -91,16 +97,15 @@ def _fit_free_params(
     for k in free:
         best[k] = 0.5
 
+    # SSE per parameter set: the search revisits the incumbent at each stage
+    # and often as a candidate, and each set needs only one pass
+    sse_memo: dict[tuple[float, float, float], float] = {}
+
     def sse_of(params: dict[str, float]) -> float:
-        return _smoothing_pass(
-            x,
-            params.get("alpha", 0.5),
-            params.get("beta", 0.0),
-            params.get("gamma", 0.0),
-            trend,
-            seasonal,
-            period,
-        )[0]
+        key = (params.get("alpha", 0.5), params.get("beta", 0.0), params.get("gamma", 0.0))
+        if key not in sse_memo:
+            sse_memo[key] = _smoothing_pass(x, *key, trend, seasonal, period)[0]
+        return sse_memo[key]
 
     if not free:
         return best
@@ -248,25 +253,26 @@ def arima(x: np.ndarray, horizon: int, p: int = 1, d: int = 0, q: int = 0) -> np
     theta_c = beta[pos:pos + q]
 
     # in-sample innovations of the fitted model, burn-in at zero
-    resid = np.zeros(n)
+    phis = phi.tolist()
+    thetas = theta_c.tolist()
+    w_hist = w.tolist()
+    e_hist = [0.0] * n
     for t in range(p, n):
         pred = const
         for i in range(1, p + 1):
-            pred += phi[i - 1] * w[t - i]
+            pred += phis[i - 1] * w_hist[t - i]
         for j in range(1, q + 1):
             if t - j >= 0:
-                pred += theta_c[j - 1] * resid[t - j]
-        resid[t] = w[t] - pred
+                pred += thetas[j - 1] * e_hist[t - j]
+        e_hist[t] = w_hist[t] - pred
 
-    w_hist = list(map(float, w))
-    e_hist = list(map(float, resid))
     future = np.empty(horizon)
     for h in range(horizon):
         pred = const
         for i in range(1, p + 1):
-            pred += phi[i - 1] * w_hist[-i]
+            pred += phis[i - 1] * w_hist[-i]
         for j in range(1, q + 1):
-            pred += theta_c[j - 1] * e_hist[-j]
+            pred += thetas[j - 1] * e_hist[-j]
         future[h] = pred
         w_hist.append(pred)
         e_hist.append(0.0)

@@ -11,6 +11,7 @@ flagged for lack of history.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -177,10 +178,27 @@ def compute_stats(series: Series) -> SeriesStats:
     )
 
 
-def _history(values: tuple[float | None, ...], t: int, window: int) -> list[float]:
-    """Non-missing values at positions [t - window + 1, t - 1]."""
-    lo = max(0, t - window + 1)
-    return [v for v in values[lo:t] if v is not None]
+def _rolling_histories(
+    series: Series, window: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Trailing histories of every observed index t >= window - 1.
+
+    The history of t is the non-missing values at positions
+    [t - window + 1, t - 1], in order. Indices are grouped by history
+    length, and each group yields (ts, x, hist): the indices, their values,
+    and one history per row. A dense series is a single group.
+    """
+    values = series.values
+    pos = np.array([i for i, v in enumerate(values) if v is not None], dtype=np.intp)
+    obs = np.array([v for v in values if v is not None], dtype=float)
+    k = np.arange(np.searchsorted(pos, window - 1), pos.size)
+    lo = np.searchsorted(pos, pos[k] - window + 1)
+    length = k - lo
+    for size in np.unique(length).tolist():
+        rows = length == size
+        starts = lo[rows]
+        hist = obs[starts[:, None] + np.arange(size)]
+        yield pos[k[rows]], obs[k[rows]], hist
 
 
 def detect_outliers_iqr(series: Series, window: int = 24, alpha: float = 1.5) -> IndexSet:
@@ -194,23 +212,17 @@ def detect_outliers_iqr(series: Series, window: int = 24, alpha: float = 1.5) ->
     """
     if window < 4:
         raise ValueError("iqr window must be at least 4")
-    values = series.values
     n_obs = len(series) - len(series.missing_indices())
     if n_obs < window:
         raise ValueError("series needs at least window non-missing points")
-    flags: list[int] = []
-    for t in range(window - 1, len(values)):
-        x = values[t]
-        if x is None:
+    flagged = np.zeros(len(series), dtype=bool)
+    for ts, x, hist in _rolling_histories(series, window):
+        if hist.shape[1] < 2:
             continue
-        hist = _history(values, t, window)
-        if len(hist) < 2:
-            continue
-        q1, q3 = np.quantile(hist, [0.25, 0.75])
+        q1, q3 = np.quantile(hist, [0.25, 0.75], axis=1)
         iqr = q3 - q1
-        if x < q1 - alpha * iqr or x > q3 + alpha * iqr:
-            flags.append(t)
-    return tuple(flags)
+        flagged[ts] = (x < q1 - alpha * iqr) | (x > q3 + alpha * iqr)
+    return tuple(np.flatnonzero(flagged).tolist())
 
 
 def detect_outliers_zscore(
@@ -228,30 +240,22 @@ def detect_outliers_zscore(
     """
     if window < 2:
         raise ValueError("zscore window must be at least 2")
-    values = series.values
     n_obs = len(series) - len(series.missing_indices())
     if n_obs < window:
         raise ValueError("series needs at least window non-missing points")
-    flags: list[int] = []
-    for t in range(window - 1, len(values)):
-        x = values[t]
-        if x is None:
+    flagged = np.zeros(len(series), dtype=bool)
+    for ts, x, hist in _rolling_histories(series, window):
+        if hist.shape[1] == 0:
             continue
-        hist = _history(values, t, window)
-        if not hist:
-            continue
-        arr = np.asarray(hist, dtype=float)
         if robust:
-            center = float(np.median(arr))
-            scale = MAD_TO_SIGMA * float(np.median(np.abs(arr - center)))
+            center = np.median(hist, axis=1)
+            scale = MAD_TO_SIGMA * np.median(np.abs(hist - center[:, None]), axis=1)
         else:
-            center = float(arr.mean())
-            scale = float(arr.std())
-        if scale == 0.0:
-            continue
-        if abs(x - center) / scale > alpha:
-            flags.append(t)
-    return tuple(flags)
+            center = hist.mean(axis=1)
+            scale = hist.std(axis=1)
+        live = scale != 0.0
+        flagged[ts[live]] = np.abs(x[live] - center[live]) / scale[live] > alpha
+    return tuple(np.flatnonzero(flagged).tolist())
 
 
 def detect_outliers_percentile(

@@ -109,7 +109,7 @@ class _Scale:
         self.lo, self.hi = lo, hi
         self.px_lo, self.px_hi = px_lo, px_hi
 
-    def __call__(self, v: float) -> float:
+    def __call__(self, v: float | np.ndarray) -> float | np.ndarray:
         frac = (v - self.lo) / (self.hi - self.lo)
         return self.px_lo + frac * (self.px_hi - self.px_lo)
 
@@ -127,16 +127,15 @@ def _finite_range(arrays: list[np.ndarray]) -> tuple[float, float]:
 
 
 def _path_segments(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> str:
-    parts: list[str] = []
-    pen_down = False
-    for x, y in zip(xs, ys):
-        if not (math.isfinite(x) and math.isfinite(y)):
-            pen_down = False
-            continue
-        cmd = "L" if pen_down else "M"
-        parts.append(f"{cmd}{_fmt(sx(x))},{_fmt(sy(y))}")
-        pen_down = True
-    return " ".join(parts)
+    ok = np.isfinite(xs) & np.isfinite(ys)
+    idx = np.flatnonzero(ok)
+    # a point after a non-finite one (or the first point) lifts the pen
+    moves = np.diff(idx, prepend=-2) != 1
+    px, py = sx(xs[ok]).tolist(), sy(ys[ok]).tolist()
+    return " ".join(
+        f"{'M' if move else 'L'}{_fmt(x)},{_fmt(y)}"
+        for move, x, y in zip(moves.tolist(), px, py)
+    )
 
 
 def _render_panel(panel: Panel, y_offset: float, width: float, height: float) -> list[str]:
@@ -206,9 +205,10 @@ def _render_panel(panel: Panel, y_offset: float, width: float, height: float) ->
         ok = np.isfinite(xs) & np.isfinite(lower) & np.isfinite(upper)
         if not ok.any():
             continue
-        xs, lower, upper = xs[ok], lower[ok], upper[ok]
-        pts = [f"{_fmt(sx(x))},{_fmt(sy(u))}" for x, u in zip(xs, upper)]
-        pts += [f"{_fmt(sx(x))},{_fmt(sy(lo))}" for x, lo in zip(xs[::-1], lower[::-1])]
+        px = sx(xs[ok]).tolist()
+        upper_py, lower_py = sy(upper[ok]).tolist(), sy(lower[ok]).tolist()
+        pts = [f"{_fmt(x)},{_fmt(u)}" for x, u in zip(px, upper_py)]
+        pts += [f"{_fmt(x)},{_fmt(lo)}" for x, lo in zip(px[::-1], lower_py[::-1])]
         out.append(
             f'<path class="band" fill="{band.color}" fill-opacity="{band.opacity}" '
             f'stroke="none" d="M{" L".join(pts)} Z"/>'

@@ -1,10 +1,14 @@
 """CLI verbs: diagnose, forecast, report roundtrip, bench recomputation."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import forecastlab
 from forecastlab.cli import main
 from forecastlab.datasets import make_synthetic_seasonal, write_csv
 
@@ -142,3 +146,23 @@ def test_rerun_with_fewer_slices_leaves_only_its_bundles(tmp_path, csv_path, cap
     assert main(["bench", "--out", str(out)]) == 0
     rows = {line.split()[0]: line.split()[-1] for line in capsys.readouterr().out.splitlines()[1:]}
     assert rows == {"24": "3", "Avg": "3"}
+
+
+def test_rules_forecast_imports_no_llm_dependencies(tmp_path, csv_path):
+    # requests and jsonschema serve only the llm advisor; a rules run in a
+    # fresh interpreter must not load them
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(FAST_CFG), encoding="utf-8")
+    argv = ["forecast", "--input", str(csv_path), "--out", str(tmp_path / "out"), "--config", str(cfg)]
+    code = (
+        "import json, sys\n"
+        "from forecastlab.cli import main\n"
+        f"rc = main({argv!r})\n"
+        "print(json.dumps([rc, 'requests' in sys.modules, 'jsonschema' in sys.modules]))\n"
+    )
+    src = str(Path(forecastlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300, check=True
+    )
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [0, False, False]

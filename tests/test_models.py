@@ -14,6 +14,7 @@ from forecastlab.models import (
     minimum_train_length,
     validate_hyperparameters,
 )
+from forecastlab.models import statistical
 from forecastlab.series import Series
 
 
@@ -120,6 +121,75 @@ def test_arima_ar1_coefficient_recovery():
 def test_arima_constant_series_is_flat():
     out = _fc("arima", {"p": 1, "d": 0, "q": 1}, [5.0] * 40, 3)
     np.testing.assert_allclose(out, [5.0, 5.0, 5.0], atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# bit-exact pins: the recursions must keep their float64 operations and order
+# ---------------------------------------------------------------------------
+
+
+def _pin_series():
+    """A seasonal series for the smoothing pins, a random walk for ARIMA."""
+    rng = np.random.default_rng(20261018)
+    t = np.arange(96)
+    seasonal = 20.0 + 0.05 * t + 3.0 * np.sin(2 * np.pi * t / 12) + rng.normal(0.0, 0.5, 96)
+    walk = 10.0 + np.cumsum(rng.normal(0.0, 1.0, 96))
+    return seasonal, walk
+
+
+# Recorded from the per-element numpy-scalar implementation that the
+# Python-float recursions replaced; every parameter is left free.
+SMOOTHING_PINS = {
+    "plain": ({}, ["0x1.7d81feaf28b27p+4"] * 4),
+    "trend": (
+        {"trend": True},
+        ["0x1.92e63b76916f6p+4", "0x1.ab90f69412c07p+4", "0x1.c43bb1b194117p+4", "0x1.dce66ccf15628p+4"],
+    ),
+    "seasonal": (
+        {"seasonal": True, "period": 12},
+        ["0x1.853404e321f2ap+4", "0x1.a0f6450b27f90p+4", "0x1.b9f30f3cc3fa7p+4", "0x1.bc29d12c10ff8p+4"],
+    ),
+    "trend_seasonal": (
+        {"trend": True, "seasonal": True, "period": 12},
+        ["0x1.85d3fb16af24bp+4", "0x1.a0f84ac49076ap+4", "0x1.bac8dfac6391bp+4", "0x1.bd8fe5235b837p+4"],
+    ),
+}
+ARIMA_PINS = {
+    (1, 0, 0): ["0x1.b0bcfcb2f66adp+3", "0x1.afe093629bdfdp+3", "0x1.af1f4fea8234dp+3", "0x1.ae75da496c122p+3"],
+    (2, 1, 1): ["0x1.b2382da60cc22p+3", "0x1.b2252c24fd7cfp+3", "0x1.b22b661fd94a3p+3", "0x1.b2297d9a537f3p+3"],
+    (0, 0, 2): ["0x1.93a121543ed53p+3", "0x1.c03da4b70aa83p+3", "0x1.ab59fbb4f3e1ep+3", "0x1.ab59fbb4f3e1ep+3"],
+}
+
+
+@pytest.mark.parametrize("variant", sorted(SMOOTHING_PINS))
+def test_exp_smoothing_forecast_pinned_bit_for_bit(variant):
+    kwargs, expected = SMOOTHING_PINS[variant]
+    seasonal, _ = _pin_series()
+    out = statistical.exp_smoothing(seasonal, 4, **kwargs)
+    assert [float(v).hex() for v in out] == expected
+
+
+@pytest.mark.parametrize("order", sorted(ARIMA_PINS))
+def test_arima_forecast_pinned_bit_for_bit(order):
+    _, walk = _pin_series()
+    out = statistical.arima(walk, 4, *order)
+    assert [float(v).hex() for v in out] == ARIMA_PINS[order]
+
+
+def test_smoothing_search_runs_one_pass_per_parameter_set(monkeypatch):
+    seasonal, _ = _pin_series()
+    seen = []
+    real_pass = statistical._smoothing_pass
+
+    def counting(x, alpha, beta, gamma, *rest):
+        seen.append((alpha, beta, gamma))
+        return real_pass(x, alpha, beta, gamma, *rest)
+
+    monkeypatch.setattr(statistical, "_smoothing_pass", counting)
+    given = {"alpha": None, "beta": None, "gamma": None}
+    best = statistical._fit_free_params(seasonal, given, True, True, 12)
+    assert len(seen) == len(set(seen)) > 0
+    assert (best["alpha"], best["beta"], best["gamma"]) in seen
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from forecastlab.preprocess import (
     DetectionPolicy,
@@ -120,6 +120,16 @@ def test_iqr_requires_window_observations():
         detect_outliers_iqr(Series((1.0, 2.0, 3.0)), window=4)
     with pytest.raises(ValueError):
         detect_outliers_iqr(Series((1.0, 2.0, 3.0, None)), window=4)
+
+
+def test_iqr_gap_shortens_history_below_two_leaves_spike_unflagged():
+    # window 4: the history of t=7 is positions 4..6, of which only 4 is
+    # observed; one value is below the IQR minimum of 2, so the spike stays
+    vals = [1.0, 2.0, 1.0, 2.0, 1.0, None, None, 100.0, 1.0, 2.0]
+    assert detect_outliers_iqr(Series(tuple(vals)), window=4, alpha=1.5) == ()
+    # with positions 5 and 6 observed the same spike is flagged
+    dense = [1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 100.0, 1.0, 2.0]
+    assert detect_outliers_iqr(Series(tuple(dense)), window=4, alpha=1.5) == (7,)
 
 
 def test_zscore_zero_scale_never_flags():
@@ -315,6 +325,60 @@ def test_detectors_match_oracles_random(seed):
 def test_iqr_oracle_property(vals):
     s = Series(tuple(vals))
     assert detect_outliers_iqr(s, window=12, alpha=1.5) == oracle_iqr(list(s.values), 12, 1.5)
+
+
+# Gappy series: a missing cell inside a window shortens the histories of the
+# indices after it, so one series has histories of several lengths. About a
+# third of the cells are missing (one None branch to two integer branches).
+# Small integers give ties and keep the oracles' arithmetic exact.
+gappy_values = st.lists(
+    st.one_of(st.none(), st.integers(-20, 20).map(float), st.integers(-20, 20).map(float)),
+    min_size=8,
+    max_size=80,
+)
+
+
+def _gappy_series(vals, window):
+    assume(sum(v is not None for v in vals) >= window)
+    return Series(tuple(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gappy_values, st.integers(4, 16), st.sampled_from([1.0, 1.5, 3.0]))
+def test_iqr_oracle_property_gappy(vals, window, alpha):
+    s = _gappy_series(vals, window)
+    assert detect_outliers_iqr(s, window, alpha) == oracle_iqr(vals, window, alpha)
+
+
+def _on_plain_threshold(vals, window, alpha):
+    """Whether some index has |x - mean| / std exactly equal to alpha.
+
+    With integer values and alpha this is the integer identity
+    (n x - S)^2 = alpha^2 (n Q - S^2) over each history (S the sum, Q the
+    sum of squares). At such a tie the float comparison depends on the
+    summation order, which the detector and the oracle do not share.
+    """
+    for t in range(window - 1, len(vals)):
+        hist = [int(v) for v in oracle_history(vals, t, window)]
+        if vals[t] is None or not hist:
+            continue
+        n, total = len(hist), sum(hist)
+        spread = n * sum(v * v for v in hist) - total * total
+        if spread and (n * int(vals[t]) - total) ** 2 == int(alpha) ** 2 * spread:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("robust", [False, True])
+@settings(max_examples=60, deadline=None)
+@given(gappy_values, st.integers(2, 16), st.sampled_from([1.0, 2.0, 3.0]))
+def test_zscore_oracle_property_gappy(robust, vals, window, alpha):
+    s = _gappy_series(vals, window)
+    # the robust statistics of integers are exact; the plain ones are not
+    assume(robust or not _on_plain_threshold(vals, window, alpha))
+    assert detect_outliers_zscore(s, window, alpha, robust) == oracle_zscore(
+        vals, window, alpha, robust
+    )
 
 
 def test_policy_validation():

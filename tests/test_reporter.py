@@ -26,7 +26,7 @@ from forecastlab.reporter import (
     write_ndjson,
     z_for_level,
 )
-from forecastlab.svgplot import forecast_figure, overview_figure
+from forecastlab.svgplot import _path_segments, _Scale, forecast_figure, overview_figure
 
 Z95 = 1.959963984540054
 
@@ -399,3 +399,11 @@ def test_forecast_figure_determinism():
     one = forecast_figure(history, members, [64.0, 65.0, 66.0])
     two = forecast_figure(history, members, [64.0, 65.0, 66.0])
     assert one == two
+
+
+def test_path_breaks_at_non_finite_points():
+    # each point after a non-finite one starts a new segment with a move
+    xs = np.arange(7.0)
+    ys = np.array([1.0, np.nan, 2.0, 3.0, np.inf, np.nan, 4.0])
+    d = _path_segments(xs, ys, _Scale(0.0, 6.0, 0.0, 60.0), _Scale(0.0, 4.0, 40.0, 0.0))
+    assert d == "M0.00,30.00 M20.00,20.00 L30.00,10.00 M60.00,0.00"
