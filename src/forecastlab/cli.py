@@ -258,13 +258,19 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--out", required=True, help="directory of a previous forecast run")
 
     args = parser.parse_args(argv)
-    if args.verb == "diagnose":
-        return cmd_diagnose(args, parser)
-    if args.verb == "forecast":
-        return cmd_forecast(args, parser)
     if args.verb == "report":
         return cmd_report(args, parser)
-    return cmd_bench(args, parser)
+    if args.verb == "bench":
+        return cmd_bench(args, parser)
+    verb = cmd_diagnose if args.verb == "diagnose" else cmd_forecast
+    try:
+        return verb(args, parser)
+    except (ValueError, OSError) as exc:
+        # input the run cannot use: an unreadable file, a non-numeric cell,
+        # a --config that is not a JSON object, or a slice layout that does
+        # not fit the series
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,9 @@ ARIMA via the Hannan-Rissanen two-stage regression, theta, and Croston."""
 
 from __future__ import annotations
 
+import math
+from itertools import cycle
+
 import numpy as np
 
 SMOOTHING_COARSE_GRID = tuple(round(0.1 * i, 2) for i in range(1, 10))
@@ -34,48 +37,67 @@ def moving_average(x: np.ndarray, horizon: int, window: int = 3) -> np.ndarray:
     return out
 
 
-def _smoothing_pass(
-    x: np.ndarray,
-    alpha: float,
-    beta: float,
-    gamma: float,
-    trend: bool,
-    seasonal: bool,
-    period: int,
-) -> tuple[float, float, float, np.ndarray]:
-    """One full recursion; returns (sse, level, slope, seasonal state).
-
-    The loop runs over Python floats for speed. Keep its operations and
-    their order: forecasts are pinned bit for bit by the tests.
-    """
-    n = x.size
+def _smoothing_start(
+    x: np.ndarray, trend: bool, seasonal: bool, period: int
+) -> tuple[list[float], float, float, list[float]]:
+    """What every pass over ``x`` starts from, whatever its parameters: the
+    values the recursion steps through, as Python floats, and the initial
+    level, slope and seasonal state (one entry per phase, none without a
+    season)."""
     xs = x.tolist()
     if seasonal:
         m = period
         level = float(np.mean(x[:m]))
         slope = (float(np.mean(x[m:2 * m])) - level) / m if trend else 0.0
-        season = [v - level for v in xs[:m]]
-        start = m
-    else:
-        m = 0
-        level = xs[0]
-        slope = xs[1] - xs[0] if trend else 0.0
-        season = []
-        start = 1
+        return xs[m:], level, slope, [v - level for v in xs[:m]]
+    return xs[1:], xs[0], xs[1] - xs[0] if trend else 0.0, []
+
+
+def _smoothing_pass(
+    start: tuple[list[float], float, float, list[float]],
+    alpha: float,
+    beta: float,
+    gamma: float,
+    trend: bool,
+    bound: float | None = None,
+) -> tuple[float, float, float, list[float]] | None:
+    """One full recursion from ``start``; returns (sse, level, slope,
+    seasonal state), or None as soon as the running SSE reaches ``bound``.
+
+    Each step adds a square, so the running SSE never falls: a pass stopped
+    at a bound would have ended at or above it. A NaN SSE reaches no bound,
+    so that pass runs to the end. The loops run over Python floats for
+    speed. Keep their operations and their order: forecasts are pinned bit
+    for bit by the tests.
+    """
+    steps, level, slope, season = start
+    limit = math.nan if bound is None else bound  # no SSE reaches NaN
+    keep_a, keep_b, keep_g = 1.0 - alpha, 1.0 - beta, 1.0 - gamma
     sse = 0.0
-    for t in range(start, n):
-        xt = xs[t]
-        s_idx = t % m if seasonal else 0
-        s_val = season[s_idx] if seasonal else 0.0
-        pred = level + slope + s_val
-        err = xt - pred
-        sse += err * err
-        new_level = alpha * (xt - s_val) + (1.0 - alpha) * (level + slope)
-        new_slope = beta * (new_level - level) + (1.0 - beta) * slope if trend else slope
-        if seasonal:
-            season[s_idx] = gamma * (xt - level - slope) + (1.0 - gamma) * s_val
-        level, slope = new_level, new_slope
-    return sse, level, slope, np.array(season)
+    if season:
+        season = season.copy()
+        for xt, s_idx in zip(steps, cycle(range(len(season)))):
+            s_val = season[s_idx]
+            err = xt - (level + slope + s_val)
+            sse += err * err
+            if sse >= limit:
+                return None
+            new_level = alpha * (xt - s_val) + keep_a * (level + slope)
+            season[s_idx] = gamma * (xt - level - slope) + keep_g * s_val
+            if trend:
+                slope = beta * (new_level - level) + keep_b * slope
+            level = new_level
+    else:
+        for xt in steps:
+            err = xt - (level + slope + 0.0)
+            sse += err * err
+            if sse >= limit:
+                return None
+            new_level = alpha * xt + keep_a * (level + slope)
+            if trend:
+                slope = beta * (new_level - level) + keep_b * slope
+            level = new_level
+    return sse, level, slope, season
 
 
 def _fit_free_params(
@@ -84,8 +106,12 @@ def _fit_free_params(
     trend: bool,
     seasonal: bool,
     period: int,
-) -> dict[str, float]:
-    """Grid-plus-refinement SSE minimization for unspecified smoothing params."""
+) -> tuple[dict[str, float], tuple[float, float, list[float]]]:
+    """Grid-plus-refinement SSE minimization for unspecified smoothing params.
+
+    Returns the chosen parameters and the (level, slope, seasonal state)
+    their pass ended in.
+    """
     names = ["alpha"]
     if trend:
         names.append("beta")
@@ -97,20 +123,18 @@ def _fit_free_params(
     for k in free:
         best[k] = 0.5
 
-    # SSE per parameter set: the search revisits the incumbent at each stage
-    # and often as a candidate, and each set needs only one pass
-    sse_memo: dict[tuple[float, float, float], float] = {}
+    def key_of(params: dict[str, float]) -> tuple[float, float, float]:
+        return (params.get("alpha", 0.5), params.get("beta", 0.0), params.get("gamma", 0.0))
 
-    def sse_of(params: dict[str, float]) -> float:
-        key = (params.get("alpha", 0.5), params.get("beta", 0.0), params.get("gamma", 0.0))
-        if key not in sse_memo:
-            sse_memo[key] = _smoothing_pass(x, *key, trend, seasonal, period)[0]
-        return sse_memo[key]
-
-    if not free:
-        return best
+    start = _smoothing_start(x, trend, seasonal, period)
+    # The incumbent's pass runs unbounded: its SSE may overflow to inf, and
+    # a bound of inf would stop it.
+    best_sse, *state = _smoothing_pass(start, *key_of(best), trend)
+    # A candidate wins only below the incumbent's SSE, which never rises, so
+    # a set passed over once loses every later comparison: each distinct set
+    # gets one pass, stopped once it reaches the incumbent's SSE.
+    seen = {key_of(best)}
     for grid in (SMOOTHING_COARSE_GRID, None):
-        best_sse = sse_of(best)
         # cycle one free parameter at a time over its candidate values
         for k in free:
             if grid is None:
@@ -126,11 +150,15 @@ def _fit_free_params(
             for cand in candidates:
                 trial = dict(best)
                 trial[k] = cand
-                s = sse_of(trial)
-                if s < best_sse:
-                    best_sse = s
+                key = key_of(trial)
+                if key in seen:
+                    continue
+                seen.add(key)
+                result = _smoothing_pass(start, *key, trend, best_sse)
+                if result is not None and result[0] < best_sse:
+                    best_sse, *state = result
                     best = trial
-    return best
+    return best, tuple(state)
 
 
 def exp_smoothing(
@@ -157,17 +185,8 @@ def exp_smoothing(
     if x.size < 2:
         raise ValueError("smoothing needs at least 2 points")
     m = period if seasonal else 0
-    params = _fit_free_params(
+    _, (level, slope, season) = _fit_free_params(
         x, {"alpha": alpha, "beta": beta, "gamma": gamma}, trend, seasonal, m
-    )
-    _, level, slope, season = _smoothing_pass(
-        x,
-        params["alpha"],
-        params.get("beta", 0.0),
-        params.get("gamma", 0.0),
-        trend,
-        seasonal,
-        m,
     )
     n = x.size
     out = np.empty(horizon)
@@ -252,19 +271,21 @@ def arima(x: np.ndarray, horizon: int, p: int = 1, d: int = 0, q: int = 0) -> np
     pos += p
     theta_c = beta[pos:pos + q]
 
-    # in-sample innovations of the fitted model, burn-in at zero
+    # in-sample innovations of the fitted model, burn-in at zero; only the
+    # MA terms read them
     phis = phi.tolist()
     thetas = theta_c.tolist()
     w_hist = w.tolist()
     e_hist = [0.0] * n
-    for t in range(p, n):
-        pred = const
-        for i in range(1, p + 1):
-            pred += phis[i - 1] * w_hist[t - i]
-        for j in range(1, q + 1):
-            if t - j >= 0:
-                pred += thetas[j - 1] * e_hist[t - j]
-        e_hist[t] = w_hist[t] - pred
+    if q > 0:
+        for t in range(p, n):
+            pred = const
+            for i in range(1, p + 1):
+                pred += phis[i - 1] * w_hist[t - i]
+            for j in range(1, q + 1):
+                if t - j >= 0:
+                    pred += thetas[j - 1] * e_hist[t - j]
+            e_hist[t] = w_hist[t] - pred
 
     future = np.empty(horizon)
     for h in range(horizon):

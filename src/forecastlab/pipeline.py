@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 import shutil
 from dataclasses import dataclass, field
@@ -367,7 +368,7 @@ def _write_bundle(
     write_forecast_csv(bundle_dir / "forecast.csv", intervals)
 
     def _safe(seq: Sequence[float]) -> list[float | None]:
-        return [float(v) if np.isfinite(v) else None for v in seq]
+        return [v if math.isfinite(v) else None for v in seq]
 
     extras = {
         "correlogram": cor.to_dict(),

@@ -464,13 +464,16 @@ def write_metrics_csv(path: str | Path, rows: Sequence[Mapping]) -> None:
 
 
 def write_forecast_csv(path: str | Path, intervals: IntervalForecast) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "point", "lower", "upper"])
+    # csv.writer's rows and terminator; ints and float reprs need no quoting
+    lines = ["step,point,lower,upper"]
+    lines += [
+        f"{h},{p!r},{lo!r},{hi!r}"
         for h, (p, lo, hi) in enumerate(
             zip(intervals.point, intervals.lower, intervals.upper), start=1
-        ):
-            writer.writerow([h, repr(p), repr(lo), repr(hi)])
+        )
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def plotdata_payload(values: Sequence[float], profile_extras: Mapping) -> dict:

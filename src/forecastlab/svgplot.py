@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -76,6 +75,21 @@ def _fmt(v: float) -> str:
     return "0.00" if out == "-0.00" else out
 
 
+def _fmt_all(template: str, values: list[float]) -> str:
+    """Fill a template of ``%.2f`` fields in one pass; the same text as
+    ``_fmt`` on each value, since every field prints two decimals and so
+    "-0.00" can only be a whole field."""
+    return (template % tuple(values)).replace("-0.00", "0.00")
+
+
+def _escape(text: str, entities: Mapping[str, str] = {}) -> str:
+    """XML character data: ``&``, ``>`` and ``<`` first, then ``entities``."""
+    text = text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    for char, entity in entities.items():
+        text = text.replace(char, entity)
+    return text
+
+
 def _label(v: float) -> str:
     return f"{v:.4g}"
 
@@ -131,11 +145,27 @@ def _path_segments(xs: np.ndarray, ys: np.ndarray, sx: _Scale, sy: _Scale) -> st
     idx = np.flatnonzero(ok)
     # a point after a non-finite one (or the first point) lifts the pen
     moves = np.diff(idx, prepend=-2) != 1
-    px, py = sx(xs[ok]).tolist(), sy(ys[ok]).tolist()
-    return " ".join(
-        f"{'M' if move else 'L'}{_fmt(x)},{_fmt(y)}"
-        for move, x, y in zip(moves.tolist(), px, py)
-    )
+    template = " ".join("M%.2f,%.2f" if move else "L%.2f,%.2f" for move in moves.tolist())
+    coords = np.empty(2 * idx.size)
+    coords[0::2] = sx(xs[ok])
+    coords[1::2] = sy(ys[ok])
+    return _fmt_all(template, coords.tolist())
+
+
+def _band_path(xs: np.ndarray, lower: np.ndarray, upper: np.ndarray, sx: _Scale, sy: _Scale) -> str:
+    """One closed outline over the points where all three are finite: the
+    upper edge left to right, then the lower edge back."""
+    ok = np.isfinite(xs) & np.isfinite(lower) & np.isfinite(upper)
+    count = int(ok.sum())
+    if not count:
+        return ""
+    px = sx(xs[ok])
+    coords = np.empty(4 * count)
+    coords[0:2 * count:2] = px
+    coords[1:2 * count:2] = sy(upper[ok])
+    coords[2 * count::2] = px[::-1]
+    coords[2 * count + 1::2] = sy(lower[ok])[::-1]
+    return _fmt_all("M" + " L".join(["%.2f,%.2f"] * (2 * count)) + " Z", coords.tolist())
 
 
 def _render_panel(panel: Panel, y_offset: float, width: float, height: float) -> list[str]:
@@ -168,7 +198,7 @@ def _render_panel(panel: Panel, y_offset: float, width: float, height: float) ->
     out.append(
         f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(y_offset + 16)}" '
         f'font-family="{FONT}" font-size="12" font-weight="bold" '
-        f'text-anchor="middle" fill="{AXIS_COLOR}">{escape(panel.title)}</text>'
+        f'text-anchor="middle" fill="{AXIS_COLOR}">{_escape(panel.title)}</text>'
     )
 
     # Gridlines: solid majors at the ticks, dotted minors between them.
@@ -202,16 +232,12 @@ def _render_panel(panel: Panel, y_offset: float, width: float, height: float) ->
         xs = np.asarray(band.xs, dtype=float)
         lower = np.asarray(band.lower, dtype=float)
         upper = np.asarray(band.upper, dtype=float)
-        ok = np.isfinite(xs) & np.isfinite(lower) & np.isfinite(upper)
-        if not ok.any():
+        d = _band_path(xs, lower, upper, sx, sy)
+        if not d:
             continue
-        px = sx(xs[ok]).tolist()
-        upper_py, lower_py = sy(upper[ok]).tolist(), sy(lower[ok]).tolist()
-        pts = [f"{_fmt(x)},{_fmt(u)}" for x, u in zip(px, upper_py)]
-        pts += [f"{_fmt(x)},{_fmt(lo)}" for x, lo in zip(px[::-1], lower_py[::-1])]
         out.append(
             f'<path class="band" fill="{band.color}" fill-opacity="{band.opacity}" '
-            f'stroke="none" d="M{" L".join(pts)} Z"/>'
+            f'stroke="none" d="{d}"/>'
         )
 
     for level in panel.hlines:
@@ -241,7 +267,7 @@ def _render_panel(panel: Panel, y_offset: float, width: float, height: float) ->
             continue
         dash = f' stroke-dasharray="{line.dash}"' if line.dash else ""
         out.append(
-            f'<path class="series" data-label="{escape(line.label, {chr(34): "&quot;"})}" '
+            f'<path class="series" data-label="{_escape(line.label, {chr(34): "&quot;"})}" '
             f'fill="none" stroke="{line.color}" stroke-width="{line.width}"{dash} d="{d}"/>'
         )
 
@@ -264,14 +290,14 @@ def _render_panel(panel: Panel, y_offset: float, width: float, height: float) ->
         out.append(
             f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(bottom + 28)}" '
             f'font-family="{FONT}" font-size="10" text-anchor="middle" '
-            f'fill="{AXIS_COLOR}">{escape(panel.x_label)}</text>'
+            f'fill="{AXIS_COLOR}">{_escape(panel.x_label)}</text>'
         )
     if panel.y_label:
         cx, cy = _fmt(14.0), _fmt((top + bottom) / 2)
         out.append(
             f'<text x="{cx}" y="{cy}" font-family="{FONT}" font-size="10" '
             f'text-anchor="middle" transform="rotate(-90 {cx} {cy})" '
-            f'fill="{AXIS_COLOR}">{escape(panel.y_label)}</text>'
+            f'fill="{AXIS_COLOR}">{_escape(panel.y_label)}</text>'
         )
 
     # Legend: one swatch per labeled line, top-left inside the plot area.
@@ -285,7 +311,7 @@ def _render_panel(panel: Panel, y_offset: float, width: float, height: float) ->
         )
         out.append(
             f'<text x="{_fmt(left + 30)}" y="{_fmt(legend_y)}" font-family="{FONT}" '
-            f'font-size="9" fill="{AXIS_COLOR}">{escape(line.label)}</text>'
+            f'font-size="9" fill="{AXIS_COLOR}">{_escape(line.label)}</text>'
         )
         legend_y += 12
     out.append("</g>")

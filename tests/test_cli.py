@@ -166,3 +166,61 @@ def test_rules_forecast_imports_no_llm_dependencies(tmp_path, csv_path):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300, check=True
     )
     assert json.loads(done.stdout.strip().splitlines()[-1]) == [0, False, False]
+
+
+def test_cli_import_leaves_out_network_and_email_modules():
+    # xml.sax.saxutils would pull these in on every run
+    code = (
+        "import json, sys\n"
+        "import forecastlab.cli\n"
+        "names = ('urllib.request', 'http.client', 'email')\n"
+        "print(json.dumps([m in sys.modules for m in names]))\n"
+    )
+    src = str(Path(forecastlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300, check=True
+    )
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == [False, False, False]
+
+
+def _non_numeric_csv(tmp_path):
+    path = tmp_path / "bad.csv"
+    rows = ["index,value"] + [f"{i},{10.0 + i}" for i in range(200)]
+    rows[50] = "49,abc"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return path
+
+
+BAD_INPUTS = {
+    "non_numeric_cell": ([], "could not convert string to float: 'abc'"),
+    "missing_input": ([], "No such file or directory"),
+    "infeasible_input_length": (
+        ["--input-length", "100000"],
+        "no horizon produced a feasible slice layout",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "verb, case",
+    [
+        ("diagnose", "non_numeric_cell"),
+        ("forecast", "non_numeric_cell"),
+        ("diagnose", "missing_input"),
+        ("forecast", "missing_input"),
+        ("forecast", "infeasible_input_length"),
+    ],
+)
+def test_bad_input_exits_with_one_line_error(tmp_path, csv_path, capsys, verb, case):
+    source = {
+        "non_numeric_cell": _non_numeric_csv(tmp_path),
+        "missing_input": tmp_path / "absent.csv",
+        "infeasible_input_length": csv_path,
+    }[case]
+    extra, message = BAD_INPUTS[case]
+    rc = main([verb, "--input", str(source), "--out", str(tmp_path / "out"), *extra])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forecastlab.models import (
     Forecast,
@@ -181,15 +182,141 @@ def test_smoothing_search_runs_one_pass_per_parameter_set(monkeypatch):
     seen = []
     real_pass = statistical._smoothing_pass
 
-    def counting(x, alpha, beta, gamma, *rest):
+    def counting(start, alpha, beta, gamma, *rest):
         seen.append((alpha, beta, gamma))
-        return real_pass(x, alpha, beta, gamma, *rest)
+        return real_pass(start, alpha, beta, gamma, *rest)
 
     monkeypatch.setattr(statistical, "_smoothing_pass", counting)
     given = {"alpha": None, "beta": None, "gamma": None}
-    best = statistical._fit_free_params(seasonal, given, True, True, 12)
+    best, _ = statistical._fit_free_params(seasonal, given, True, True, 12)
     assert len(seen) == len(set(seen)) > 0
     assert (best["alpha"], best["beta"], best["gamma"]) in seen
+    # the forecast reuses the winning pass's state: no pass beyond the search's
+    search_passes = len(seen)
+    seen.clear()
+    statistical.exp_smoothing(seasonal, 4, trend=True, seasonal=True, period=12)
+    assert 0 < len(seen) <= search_passes
+
+
+# Reference search: every candidate pass runs to the end, with no bound, and
+# the chosen parameters get a pass of their own for the final state. The
+# forecasts must match it bit for bit.
+
+
+def _oracle_pass(x, alpha, beta, gamma, trend, seasonal, period):
+    n = x.size
+    xs = x.tolist()
+    if seasonal:
+        m = period
+        level = float(np.mean(x[:m]))
+        slope = (float(np.mean(x[m:2 * m])) - level) / m if trend else 0.0
+        season = [v - level for v in xs[:m]]
+        start = m
+    else:
+        m = 0
+        level = xs[0]
+        slope = xs[1] - xs[0] if trend else 0.0
+        season = []
+        start = 1
+    sse = 0.0
+    for t in range(start, n):
+        xt = xs[t]
+        s_idx = t % m if seasonal else 0
+        s_val = season[s_idx] if seasonal else 0.0
+        pred = level + slope + s_val
+        err = xt - pred
+        sse += err * err
+        new_level = alpha * (xt - s_val) + (1.0 - alpha) * (level + slope)
+        new_slope = beta * (new_level - level) + (1.0 - beta) * slope if trend else slope
+        if seasonal:
+            season[s_idx] = gamma * (xt - level - slope) + (1.0 - gamma) * s_val
+        level, slope = new_level, new_slope
+    return sse, level, slope, np.array(season)
+
+
+def _oracle_fit(x, given, trend, seasonal, period):
+    names = ["alpha"] + ["beta"] * trend + ["gamma"] * seasonal
+    fixed = {k: v for k, v in given.items() if k in names and v is not None}
+    free = [k for k in names if k not in fixed]
+    best = dict(fixed)
+    for k in free:
+        best[k] = 0.5
+
+    def sse_of(params):
+        key = (params.get("alpha", 0.5), params.get("beta", 0.0), params.get("gamma", 0.0))
+        return _oracle_pass(x, *key, trend, seasonal, period)[0]
+
+    if not free:
+        return best
+    for grid in (statistical.SMOOTHING_COARSE_GRID, None):
+        best_sse = sse_of(best)
+        for k in free:
+            if grid is None:
+                candidates = sorted(
+                    {
+                        min(statistical.SMOOTHING_PARAM_MAX,
+                            max(statistical.SMOOTHING_PARAM_MIN, round(best[k] + off, 4)))
+                        for off in statistical.SMOOTHING_REFINE_OFFSETS
+                    }
+                )
+            else:
+                candidates = list(grid)
+            for cand in candidates:
+                trial = dict(best)
+                trial[k] = cand
+                s = sse_of(trial)
+                if s < best_sse:
+                    best_sse = s
+                    best = trial
+    return best
+
+
+def _oracle_exp_smoothing(x, horizon, trend, seasonal, period, **given):
+    m = period if seasonal else 0
+    params = _oracle_fit(x, given, trend, seasonal, m)
+    _, level, slope, season = _oracle_pass(
+        x, params["alpha"], params.get("beta", 0.0), params.get("gamma", 0.0), trend, seasonal, m
+    )
+    out = np.empty(horizon)
+    for h in range(1, horizon + 1):
+        val = level + (slope * h if trend else 0.0)
+        if seasonal:
+            val += season[(x.size - 1 + h) % m]
+        out[h - 1] = val
+    return out
+
+
+SMOOTHING_VARIANTS = ((False, False), (True, False), (False, True), (True, True))
+SMOOTHING_GIVEN = st.none() | st.sampled_from([0.01, 0.3, 0.5, 0.77, 0.99])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(st.integers(-3, 3), min_size=4, max_size=60)
+    | st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=60),
+    scale=st.sampled_from([1e-6, 1.0, 1e8]),
+    variant=st.sampled_from(SMOOTHING_VARIANTS),
+    period=st.integers(2, 12),
+    fixed=st.fixed_dictionaries({k: SMOOTHING_GIVEN for k in ("alpha", "beta", "gamma")}),
+)
+def test_smoothing_search_matches_full_pass_oracle(values, scale, variant, period, fixed):
+    x = np.asarray(values, dtype=float) * scale
+    trend, seasonal = variant
+    period = min(period, x.size // 2)
+    expected = _oracle_exp_smoothing(x, 7, trend, seasonal, period, **fixed)
+    out = statistical.exp_smoothing(x, 7, trend=trend, seasonal=seasonal, period=period, **fixed)
+    assert [float(v).hex() for v in out] == [float(v).hex() for v in expected]
+
+
+@pytest.mark.parametrize("variant", SMOOTHING_VARIANTS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_smoothing_search_matches_oracle_when_sse_overflows(variant, sign):
+    # squares of 1e300 overflow the SSE to inf; the search must still finish
+    trend, seasonal = variant
+    x = sign * 1e300 * (1.0 + np.arange(48.0) % 5)
+    expected = _oracle_exp_smoothing(x, 5, trend, seasonal, 12)
+    out = statistical.exp_smoothing(x, 5, trend=trend, seasonal=seasonal, period=12)
+    assert [float(v).hex() for v in out] == [float(v).hex() for v in expected]
 
 
 # ---------------------------------------------------------------------------

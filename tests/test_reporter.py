@@ -1,11 +1,13 @@
 """Interval math, workflow log discipline, report rendering, table writers."""
 
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forecastlab.ensemble import EnsembleDecision
 from forecastlab.models import ModelSpec
@@ -26,7 +28,17 @@ from forecastlab.reporter import (
     write_ndjson,
     z_for_level,
 )
-from forecastlab.svgplot import _path_segments, _Scale, forecast_figure, overview_figure
+from forecastlab.svgplot import (
+    Line,
+    Panel,
+    _band_path,
+    _fmt,
+    _path_segments,
+    _Scale,
+    forecast_figure,
+    overview_figure,
+    render_figure,
+)
 
 Z95 = 1.959963984540054
 
@@ -407,3 +419,70 @@ def test_path_breaks_at_non_finite_points():
     ys = np.array([1.0, np.nan, 2.0, 3.0, np.inf, np.nan, 4.0])
     d = _path_segments(xs, ys, _Scale(0.0, 6.0, 0.0, 60.0), _Scale(0.0, 4.0, 40.0, 0.0))
     assert d == "M0.00,30.00 M20.00,20.00 L30.00,10.00 M60.00,0.00"
+
+
+def _per_point_path(xs, ys, sx, sy):
+    """Reference path text: one _fmt call per coordinate."""
+    ok = np.isfinite(xs) & np.isfinite(ys)
+    idx = np.flatnonzero(ok)
+    moves = np.diff(idx, prepend=-2) != 1
+    px, py = sx(xs[ok]).tolist(), sy(ys[ok]).tolist()
+    return " ".join(
+        f"{'M' if move else 'L'}{_fmt(x)},{_fmt(y)}" for move, x, y in zip(moves.tolist(), px, py)
+    )
+
+
+def _per_point_band(xs, lower, upper, sx, sy):
+    ok = np.isfinite(xs) & np.isfinite(lower) & np.isfinite(upper)
+    if not ok.any():
+        return ""
+    px = sx(xs[ok]).tolist()
+    upper_py, lower_py = sy(upper[ok]).tolist(), sy(lower[ok]).tolist()
+    pts = [f"{_fmt(x)},{_fmt(u)}" for x, u in zip(px, upper_py)]
+    pts += [f"{_fmt(x)},{_fmt(lo)}" for x, lo in zip(px[::-1], lower_py[::-1])]
+    return f"M{' L'.join(pts)} Z"
+
+
+# gaps, values that print as -0.00 on an identity scale, and wide magnitudes
+PLOT_VALUE = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.floats(-0.01, 0.01),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, -0.0049, -0.005]),
+)
+PLOT_SCALES = ((0.0, 1.0, 0.0, 1.0), (0.0, 6.0, 0.0, 60.0), (-3.0, 5.0, 40.0, 0.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    points=st.lists(st.tuples(PLOT_VALUE, PLOT_VALUE, PLOT_VALUE), max_size=30),
+    x_scale=st.sampled_from(PLOT_SCALES),
+    y_scale=st.sampled_from(PLOT_SCALES),
+)
+def test_path_text_matches_per_point_fmt(points, x_scale, y_scale):
+    xs, lower, upper = (np.array([p[i] for p in points], dtype=float) for i in range(3))
+    sx, sy = _Scale(*x_scale), _Scale(*y_scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert _path_segments(xs, upper, sx, sy) == _per_point_path(xs, upper, sx, sy)
+        assert _band_path(xs, lower, upper, sx, sy) == _per_point_band(xs, lower, upper, sx, sy)
+
+
+def test_labels_escape_markup_characters():
+    svg = render_figure(
+        [Panel(title="a&b <c>", lines=(Line('x&<>"y', (0.0, 1.0), (0.0, 1.0)),), x_label="<t>")]
+    )
+    assert '>a&amp;b &lt;c&gt;</text>' in svg
+    assert 'data-label="x&amp;&lt;&gt;&quot;y"' in svg
+    assert '>x&amp;&lt;&gt;"y</text>' in svg
+    assert '>&lt;t&gt;</text>' in svg
+
+
+def test_forecast_csv_is_what_csv_writer_writes(tmp_path):
+    iv = build_intervals([[1.1, math.nan], [1.3, 2.0]], [1.2, math.inf], residual_std=0.37)
+    path = tmp_path / "forecast.csv"
+    write_forecast_csv(path, iv)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["step", "point", "lower", "upper"])
+    for h, row in enumerate(zip(iv.point, iv.lower, iv.upper), start=1):
+        writer.writerow([h, *map(repr, row)])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
